@@ -40,29 +40,24 @@ from repro.core.energy import (
     dc_total_energy,
 )
 from repro.core.support import supports
+from repro.core.workspace import DomainScratch
 from repro.dft.basis import PlaneWaveBasis
-from repro.dft.eigensolver import (
-    EigenResult,
-    record_solve,
-    solve_all_band,
-    solve_band_by_band,
-    solve_direct,
-)
+from repro.dft.eigensolver import EigenResult, eigensolve, record_solve
 from repro.dft.ewald import ewald_energy
 from repro.dft.grid import RealSpaceGrid
 from repro.dft.hamiltonian import Hamiltonian
 from repro.dft.hartree import hartree_potential
-from repro.dft.mixing import LinearMixer, PulayMixer, renormalize
+from repro.dft.mixing import renormalize
 from repro.dft.occupations import fermi_occupations, find_chemical_potential
 from repro.dft.pseudopotential import NonlocalProjectors, local_potential
-from repro.dft.scf import initial_density
+from repro.dft.scf import DensityPass, scf_fixed_point, traced_run
 from repro.dft.xc import lda_xc
 from repro.multigrid.poisson import MultigridPoisson
 from repro.sanitize import ENV_SANITIZERS, Sanitizers
 from repro.systems.configuration import Configuration
 
 if TYPE_CHECKING:
-    from repro.core.workspace import DomainScratch, LDCWorkspace
+    from repro.core.workspace import LDCWorkspace
     from repro.observability.instrumentation import Instrumentation
 
 
@@ -276,41 +271,6 @@ def _partition_residual(
     return float(np.abs(total - 1.0).max())
 
 
-def _solve_domain(
-    state: DomainState,
-    v_eff_domain: np.ndarray,
-    options: LDCOptions,
-    instrumentation: Instrumentation | None = None,
-) -> EigenResult:
-    """Solve the domain KS problem in place (updates psi, eigenvalues).
-
-    Returns the full :class:`EigenResult`; ``result.fields`` carries the
-    converged real-space orbitals so the caller's density assembly skips a
-    redundant ``to_grid`` re-transform.
-    """
-    ham = Hamiltonian(state.basis, v_eff_domain, state.vnl)
-    if options.eigensolver == "direct":
-        res = solve_direct(
-            ham, state.nband, instrumentation=instrumentation,
-            want_fields=True,
-        )
-    elif options.eigensolver == "all_band":
-        res = solve_all_band(
-            ham, state.psi, max_iter=options.eig_max_iter, tol=options.eig_tol,
-            instrumentation=instrumentation, want_fields=True,
-        )
-    elif options.eigensolver == "band_by_band":
-        res = solve_band_by_band(
-            ham, state.psi, tol=options.eig_tol,
-            instrumentation=instrumentation, want_fields=True,
-        )
-    else:
-        raise ValueError(f"unknown eigensolver {options.eigensolver!r}")
-    state.psi = res.orbitals
-    state.eigenvalues = res.eigenvalues
-    return res
-
-
 def _domain_effective_potential(
     state: DomainState,
     rho: np.ndarray,
@@ -436,7 +396,11 @@ def _domain_pass(
     v_eff, rho_restricted = _domain_effective_potential(
         state, rho, v_hxc_global, v_ks_global, xi, opts
     )
-    res = _solve_domain(state, v_eff, opts, ins)
+    res = eigensolve(
+        Hamiltonian(state.basis, v_eff, state.vnl), state.psi, opts, ins
+    )
+    state.psi = res.orbitals
+    state.eigenvalues = res.eigenvalues
     err = _stage_band_data(state, res, rho_restricted)
     return res, err
 
@@ -470,46 +434,25 @@ def run_ldc(
     :class:`~repro.core.workspace.LDCWorkspace`: the grid, decomposition,
     partition of unity, per-domain bases, and Ewald structure come from its
     cache, domain ψ are warm-started from the previous call's converged
-    orbitals, and the converged states are stored back for the next call.
-    Mutually exclusive with ``grid``.
+    orbitals, and the states of a converged run are stored back for the
+    next call (an unconverged run leaves the history untouched).  Mutually
+    exclusive with ``grid``.
     """
     opts = options or LDCOptions()
     san = sanitize if sanitize is not None else ENV_SANITIZERS
     if instrumentation is None:
         return _run_ldc(config, opts, compute_forces, rho0, grid, None,
                         workspace, san)
-    if instrumentation.recorder is not None:
-        instrumentation.recorder.record_invocation(
-            "ldc.run", opts, natoms=len(config.symbols)
-        )
-    with instrumentation.span(
-        "ldc.run", category="ldc", natoms=len(config.symbols),
-        mode=opts.mode, domains=str(opts.domains), buffer=opts.buffer,
-    ) as span:
-        try:
-            result = _run_ldc(
-                config, opts, compute_forces, rho0, grid, instrumentation,
-                workspace, san,
-            )
-        except Exception as exc:
-            if instrumentation.recorder is not None:
-                instrumentation.recorder.record_failure(exc)
-            raise
-        span.attrs.update(
-            converged=result.converged, iterations=result.iterations,
-            ndomains=result.n_domains,
-        )
-        instrumentation.log.info(
-            "ldc finished",
-            extra={
-                "engine": "ldc",
-                "mode": opts.mode,
-                "converged": result.converged,
-                "iterations": result.iterations,
-                "energy": result.energy,
-            },
-        )
-    return result
+    return traced_run(
+        instrumentation, "ldc", opts, config,
+        lambda: _run_ldc(
+            config, opts, compute_forces, rho0, grid, instrumentation,
+            workspace, san,
+        ),
+        {"mode": opts.mode, "domains": str(opts.domains),
+         "buffer": opts.buffer, "ndomains": int(np.prod(opts.domains))},
+        {"engine": "ldc", "mode": opts.mode},
+    )
 
 
 def _run_ldc(
@@ -569,41 +512,12 @@ def _run_ldc(
         structure=ewald_structure,
     )
 
-    if rho0 is not None and rho0.shape != grid.shape:
-        rho0 = None  # stale-shaped warm start (grid changed) → cold start
-    rho = initial_density(grid, config) if rho0 is None else rho0.copy()
-    rho = renormalize(rho, n_electrons, grid.dv)
-    if san is not None and san.numerics is not None:
-        san.numerics.check(
-            "rho0", rho, where="ldc.init", expect_dtype=np.float64
-        )
-
     mg = (
         MultigridPoisson(grid, instrumentation=ins, sanitize=san)
         if opts.poisson == "multigrid"
         else None
     )
-    vh_prev: np.ndarray | None = None
-
-    mixer: PulayMixer | LinearMixer
-    if opts.mixer == "pulay":
-        mixer = PulayMixer(alpha=opts.mix_alpha)
-    elif opts.mixer == "linear":
-        mixer = LinearMixer(alpha=opts.mix_alpha)
-    else:
-        raise ValueError(f"unknown mixer {opts.mixer!r}")
-
-    history: list[float] = []
-    residuals: list[float] = []
-    boundary_errors: list[float] = []
-    converged = False
-    it = 0
-    mu = 0.0
-    eig_total = 0
-    components: dict[str, float] = {}
-
     xi = opts.xi if opts.mode == "ldc" else None
-
     # One pool serves every SCF pass of this run (workers idle between
     # passes; thread reuse avoids per-iteration spawn cost).
     executor = (
@@ -613,114 +527,60 @@ def _run_ldc(
     )
     # The batched coordinator's stack pool: persistent across MD steps with
     # a workspace, per-run otherwise — either way no per-pass allocations.
-    if workspace is not None:
-        batch_pool = workspace.batch_pool
-    else:
-        from repro.core.workspace import DomainScratch as _DomainScratch
+    batch_pool = (
+        workspace.batch_pool if workspace is not None else DomainScratch()
+    )
+    vh_prev: np.ndarray | None = None
+    boundary_errors: list[float] = []
 
-        batch_pool = _DomainScratch()
-    try:
-        for it in range(1, opts.max_iter + 1):
-            if ins is not None:
-                t_iter = ins.tracer.now()
-            mu, rho_out, components, bnd_err, vh_prev, eig_pass = _scf_pass(
-                grid, states, rho, v_loc_global, e_ewald, n_electrons,
-                xi, mg, vh_prev, opts, ins, executor, san, batch_pool,
-            )  # vh_prev is reused as the next iteration's Poisson warm start
-            eig_total += eig_pass
-            if san is not None and san.numerics is not None:
-                san.numerics.check(
-                    "rho_new", rho_out, where=f"ldc.iteration[{it}]",
-                    expect_dtype=np.float64,
-                )
-            boundary_errors.append(bnd_err)
-            rho_out = renormalize(
-                np.clip(rho_out, 0.0, None), n_electrons, grid.dv
-            )
-            resid = grid.integrate(np.abs(rho_out - rho)) / max(
-                n_electrons, 1.0
-            )
-            residuals.append(resid)
-            history.append(components["total"])
-            if ins is not None:
-                ins.counter("scf.iterations", engine="ldc").inc()
-                ins.series("scf.residual", engine="ldc").append(resid)
-                ins.series("scf.energy", engine="ldc").append(
-                    components["total"]
-                )
-                ins.series("scf.mu", engine="ldc").append(mu)
-                ins.series("ldc.boundary_error").append(bnd_err)
-                ins.tracer.record_complete(
-                    "ldc.iteration", ins.tracer.now() - t_iter,
-                    category="ldc", iteration=it, residual=resid,
-                    boundary_error=bnd_err,
-                )
-                ins.log.debug(
-                    "ldc iteration",
-                    extra={"engine": "ldc", "iteration": it,
-                           "residual": resid,
-                           "energy": components["total"], "mu": mu,
-                           "boundary_error": bnd_err},
-                )
-            if hm is not None:
-                hm.observe(
-                    "scf.residual", engine="ldc", iteration=it, residual=resid
-                )
-            if resid < opts.tol:
-                rho = rho_out
-                converged = True
-                break
-            rho = renormalize(
-                np.clip(mixer.mix(rho, rho_out), 0.0, None), n_electrons,
-                grid.dv,
-            )
-
-        # Final consistent evaluation at the converged density.
-        mu, rho_final, components, bnd_err, _, eig_pass = _scf_pass(
+    def ldc_pass(rho: np.ndarray, it: int | None) -> DensityPass:
+        nonlocal vh_prev
+        step = _scf_pass(
             grid, states, rho, v_loc_global, e_ewald, n_electrons,
-            xi, mg, vh_prev, opts, ins, executor, san, batch_pool,
+            xi, mg, vh_prev, opts, ins, executor, san, batch_pool, it,
         )
-        eig_total += eig_pass
+        if it is not None:
+            vh_prev = step.data[1]  # the next iteration's Poisson warm start
+            err = step.attrs["boundary_error"]
+            boundary_errors.append(err)
+            if ins is not None:
+                ins.series("ldc.boundary_error").append(err)
+        return step
+
+    try:
+        fp = scf_fixed_point(
+            ldc_pass, config, grid, rho0, opts, ins, san, engine="ldc"
+        )
     finally:
         if executor is not None:
             executor.shutdown(wait=True)
-    rho_final = renormalize(np.clip(rho_final, 0.0, None), n_electrons, grid.dv)
 
     predictor_residual: float | None = None
-    if workspace is not None:
+    if workspace is not None and fp.converged:
         # push converged states onto the ASPC windows for the next step's
-        # warm start; store() also settles the predictor residual of the
-        # guesses this step started from
+        # warm start (an unconverged step must not seed the next
+        # prediction as if it were converged history); store() also
+        # settles the predictor residual of the guesses this step started
+        # from
         workspace.store(states, opts)
         predictor_residual = workspace.predictor_residual
         if ins is not None and predictor_residual is not None:
             ins.series("ldc.predictor_residual").append(predictor_residual)
 
-    if hm is not None:
-        hm.observe(
-            "scf.density", engine="ldc",
-            total_charge=grid.integrate(rho_final), n_electrons=n_electrons,
-        )
-        hm.observe(
-            "solver.convergence", solver="scf[ldc]", converged=converged,
-            iterations=it, final=True,
-            residual=residuals[-1] if residuals else None,
-        )
-
     result = LDCResult(
-        energy=components["total"],
-        components=components,
-        mu=mu,
-        density=rho_final,
+        energy=fp.final.energy,
+        components=fp.final.data[0],
+        mu=fp.final.mu,
+        density=fp.final.rho_out,
         grid=grid,
         decomposition=decomp,
         states=states,
-        converged=converged,
-        iterations=it,
-        history=history,
-        density_residuals=residuals,
+        converged=fp.converged,
+        iterations=fp.iterations,
+        history=fp.history,
+        density_residuals=fp.residuals,
         boundary_errors=boundary_errors,
-        eig_iterations=eig_total,
+        eig_iterations=fp.eig_iterations,
         predictor_residual=predictor_residual,
     )
     if compute_forces:
@@ -745,7 +605,8 @@ def _scf_pass(
     executor: ThreadPoolExecutor | None = None,
     san: Sanitizers | None = None,
     batch_pool: DomainScratch | None = None,
-) -> tuple[float, np.ndarray, dict[str, float], float, np.ndarray, int]:
+    it: int | None = None,
+) -> DensityPass:
     """One global-local pass: potentials → domain solves → μ → density.
 
     The per-domain solves are independent; with ``executor`` set they fan
@@ -760,9 +621,9 @@ def _scf_pass(
     the fan-out (workers own only their domain) and the numerics sanitizer
     checks the potential/eigenvalue checkpoints.
 
-    Returns (μ, assembled density, energy components, mean boundary-density
-    error, Hartree potential field — the caller's Poisson warm start, and
-    the summed eigensolver iterations over every domain solve).
+    The LDC density map (``it=None`` is the final pass): ρ_out is clipped
+    at 0 and renormalized, ``data`` holds the energy components and V_H —
+    the caller's Poisson warm start.
     """
     if mg is not None:
         vh = mg.solve(rho, v0=vh_warm, tol=1e-8)
@@ -837,7 +698,6 @@ def _scf_pass(
                 res, err = _domain_pass(
                     state, rho, v_hxc_global, v_ks_global, xi, opts, None
                 )
-                outcomes.append((res, err, None))
             else:
                 with ins.span(
                     "ldc.domain_solve", category="ldc", domain=idom,
@@ -853,7 +713,7 @@ def _scf_pass(
                         grid_points=int(np.prod(state.domain.grid.shape)),
                         nproj=len(state.vnl.d), cg_iterations=res.iterations,
                     )
-                outcomes.append((res, err, None))
+            outcomes.append((res, err, None))
 
     for (idom, state), (res, err, dt) in zip(active, outcomes):
         assert state.basis is not None and state.eigenvalues is not None
@@ -927,4 +787,13 @@ def _scf_pass(
     )
     mean_err = bnd_err_total / n_active if n_active else 0.0
     eig_pass = sum(int(res.iterations) for res, _, _ in outcomes)
-    return mu, rho_new, components, mean_err, vh, eig_pass
+    if it is not None and san is not None and san.numerics is not None:
+        san.numerics.check(
+            "rho_new", rho_new, where=f"ldc.iteration[{it}]",
+            expect_dtype=np.float64,
+        )
+    rho_out = renormalize(np.clip(rho_new, 0.0, None), n_electrons, grid.dv)
+    return DensityPass(
+        rho_out, components["total"], mu, eig_pass,
+        {"boundary_error": mean_err}, (components, vh),
+    )

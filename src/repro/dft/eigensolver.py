@@ -20,11 +20,15 @@ the :class:`~repro.dft.hamiltonian.Hamiltonian`.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.dft.hamiltonian import BatchedHamiltonian, Hamiltonian
 from repro.util.linalg import cholesky_orthonormalize
+
+if TYPE_CHECKING:
+    from repro.dft.basis import PlaneWaveBasis
 
 
 @dataclass
@@ -47,8 +51,7 @@ class EigenResult:
 
 
 def solve_direct(
-    ham: Hamiltonian, nband: int, instrumentation=None,
-    want_fields: bool = False,
+    ham: Hamiltonian, nband: int, want_fields: bool = False
 ) -> EigenResult:
     """Dense-diagonalization reference solver."""
     if nband > ham.basis.npw:
@@ -58,7 +61,7 @@ def solve_direct(
     h = ham.dense()
     evals, evecs = np.linalg.eigh(h)
     orbitals = np.ascontiguousarray(evecs[:, :nband])
-    result = EigenResult(
+    return EigenResult(
         eigenvalues=evals[:nband].copy(),
         orbitals=orbitals,
         iterations=1,
@@ -66,13 +69,37 @@ def solve_direct(
         converged=True,
         fields=ham.basis.to_grid(orbitals) if want_fields else None,
     )
+
+
+def eigensolve(
+    ham: Hamiltonian, psi: np.ndarray, options, instrumentation=None
+) -> EigenResult:
+    """Run the solver ``options.eigensolver`` (an ``SCFOptions`` or
+    ``LDCOptions``) names, seeded from ``psi``, and record it when
+    ``instrumentation`` is attached.  The result carries the real-space
+    ``fields``, so the density build skips a redundant ``to_grid``."""
+    if options.eigensolver == "direct":
+        result = solve_direct(ham, psi.shape[1], want_fields=True)
+    elif options.eigensolver == "all_band":
+        result = solve_all_band(
+            ham, psi, max_iter=options.eig_max_iter, tol=options.eig_tol,
+            want_fields=True,
+        )
+    elif options.eigensolver == "band_by_band":
+        result = solve_band_by_band(
+            ham, psi, tol=options.eig_tol, want_fields=True
+        )
+    else:
+        raise ValueError(f"unknown eigensolver {options.eigensolver!r}")
     if instrumentation is not None:
-        record_solve(instrumentation, "direct", ham.basis.npw, result)
+        record_solve(
+            instrumentation, options.eigensolver, ham.basis.npw, result
+        )
     return result
 
 
 def record_solve(ins, solver: str, npw: int, result: EigenResult) -> None:
-    """Telemetry for one eigensolve (shared by all three solvers).
+    """Telemetry for one eigensolve (recorded by :func:`eigensolve`).
 
     Recorded once per solve — never inside the CG inner loop — so enabling
     instrumentation does not perturb the BLAS2/BLAS3 hot paths it measures.
@@ -105,29 +132,11 @@ def record_solve(ins, solver: str, npw: int, result: EigenResult) -> None:
 # All-band solver (BLAS3 path)
 # ---------------------------------------------------------------------------
 
-def solve_all_band(
-    ham: Hamiltonian,
-    psi0: np.ndarray,
-    max_iter: int = 60,
-    tol: float = 1e-8,
-    instrumentation=None,
-    want_fields: bool = False,
-) -> EigenResult:
-    """Locally optimal block preconditioned CG over all bands at once.
-
-    Subspace per iteration: current block X, preconditioned residuals W,
-    and the previous search directions P (classic LOBPCG three-term basis).
-    The Rayleigh–Ritz solves and orthonormalizations are the Cholesky-based
-    scheme of Sec. 3.3.
-    """
-    result = _solve_all_band(ham, psi0, max_iter, tol, want_fields)
-    if instrumentation is not None:
-        record_solve(instrumentation, "all_band", ham.basis.npw, result)
-    return result
 
 
 def _rotated_fields(
-    ham: Hamiltonian, x_rot: np.ndarray, fx: np.ndarray | None, u: np.ndarray
+    basis: PlaneWaveBasis, x_rot: np.ndarray, fx: np.ndarray | None,
+    u: np.ndarray,
 ) -> np.ndarray:
     """Real-space fields of ``x_rot = x @ u``.
 
@@ -138,16 +147,23 @@ def _rotated_fields(
     """
     if fx is not None:
         return np.tensordot(u, fx, axes=(0, 0))
-    return ham.basis.to_grid(x_rot)
+    return basis.to_grid(x_rot)
 
 
-def _solve_all_band(
+def solve_all_band(
     ham: Hamiltonian,
     psi0: np.ndarray,
-    max_iter: int,
-    tol: float,
+    max_iter: int = 60,
+    tol: float = 1e-8,
     want_fields: bool = False,
 ) -> EigenResult:
+    """Locally optimal block preconditioned CG over all bands at once.
+
+    Subspace per iteration: current block X, preconditioned residuals W,
+    and the previous search directions P (classic LOBPCG three-term basis).
+    The Rayleigh–Ritz solves and orthonormalizations are the Cholesky-based
+    scheme of Sec. 3.3.
+    """
     x = cholesky_orthonormalize(np.asarray(psi0, dtype=complex))
     nband = x.shape[1]
     cap: list[np.ndarray] | None = [] if want_fields else None
@@ -167,7 +183,7 @@ def _solve_all_band(
         resid_norm = float(np.max(np.linalg.norm(r, axis=0)))
         if resid_norm < tol:
             fields = (
-                _rotated_fields(ham, x_rot, fx, u) if want_fields else None
+                _rotated_fields(ham.basis, x_rot, fx, u) if want_fields else None
             )
             return EigenResult(eps.copy(), x_rot, it, resid_norm, True,
                                fields=fields)
@@ -213,7 +229,7 @@ def _solve_all_band(
     hsub = 0.5 * (hsub + hsub.conj().T)
     eps, u = np.linalg.eigh(hsub)
     x_rot = x @ u
-    fields = _rotated_fields(ham, x_rot, fx, u) if want_fields else None
+    fields = _rotated_fields(ham.basis, x_rot, fx, u) if want_fields else None
     return EigenResult(eps.copy(), x_rot, it, resid_norm, resid_norm < tol,
                        fields=fields)
 
@@ -302,14 +318,10 @@ def solve_all_band_batched(
             last_resid[slot] = resid
             if resid < tol:
                 xr = np.asarray(x_rot[slot]).copy()
-                fields = None
-                if want_fields:
-                    fields = (
-                        np.tensordot(np.asarray(u[slot]), fx[slot],
-                                     axes=(0, 0))
-                        if fx[slot] is not None
-                        else basis.to_grid(xr)
-                    )
+                fields = (
+                    _rotated_fields(basis, xr, fx[slot], np.asarray(u[slot]))
+                    if want_fields else None
+                )
                 results[active[slot]] = EigenResult(
                     np.asarray(eps[slot]).copy(), xr, it, resid, True,
                     fields=fields,
@@ -417,13 +429,10 @@ def solve_all_band_batched(
     x_rot = xp.matmul(x, u)
     for slot in range(len(active)):
         xr = np.asarray(x_rot[slot]).copy()
-        fields = None
-        if want_fields:
-            fields = (
-                np.tensordot(np.asarray(u[slot]), fx[slot], axes=(0, 0))
-                if fx[slot] is not None
-                else basis.to_grid(xr)
-            )
+        fields = (
+            _rotated_fields(basis, xr, fx[slot], np.asarray(u[slot]))
+            if want_fields else None
+        )
         resid = last_resid[slot]
         results[active[slot]] = EigenResult(
             np.asarray(eps[slot]).copy(), xr, it, resid, resid < tol,
@@ -443,7 +452,6 @@ def solve_band_by_band(
     tol: float = 1e-8,
     cg_per_band: int = 5,
     outer_sweeps: int = 12,
-    instrumentation=None,
     want_fields: bool = False,
 ) -> EigenResult:
     """Sequential per-band preconditioned CG (the original BLAS2 scheme).
@@ -452,22 +460,6 @@ def solve_band_by_band(
     the bands below it, with ``cg_per_band`` CG steps per sweep and
     ``outer_sweeps`` sweeps with Rayleigh–Ritz rotations between them.
     """
-    result = _solve_band_by_band(
-        ham, psi0, tol, cg_per_band, outer_sweeps, want_fields
-    )
-    if instrumentation is not None:
-        record_solve(instrumentation, "band_by_band", ham.basis.npw, result)
-    return result
-
-
-def _solve_band_by_band(
-    ham: Hamiltonian,
-    psi0: np.ndarray,
-    tol: float,
-    cg_per_band: int,
-    outer_sweeps: int,
-    want_fields: bool = False,
-) -> EigenResult:
     x = cholesky_orthonormalize(np.asarray(psi0, dtype=complex))
     nband = x.shape[1]
     resid_norm = np.inf
@@ -493,7 +485,7 @@ def _solve_band_by_band(
                 pr = _project_out(pr, lower)
                 pr -= psi * np.vdot(psi, pr)
                 g_dot = float(np.real(np.vdot(pr, r)))
-                if d_prev is None or g_dot_prev in (None, 0.0):
+                if d_prev is None or not g_dot_prev:
                     d = -pr
                 else:
                     beta = g_dot / g_dot_prev
@@ -530,10 +522,10 @@ def _solve_band_by_band(
         r = hx - x * eps_all[None, :]
         resid_norm = float(np.max(np.linalg.norm(r, axis=0)))
         if resid_norm < tol:
-            fields = np.tensordot(u, fx, axes=(0, 0)) if want_fields else None
+            fields = _rotated_fields(ham.basis, x, fx, u) if want_fields else None
             return EigenResult(eps_all.copy(), x, total_iter, resid_norm, True,
                                fields=fields)
-    fields = np.tensordot(u, fx, axes=(0, 0)) if want_fields else None
+    fields = _rotated_fields(ham.basis, x, fx, u) if want_fields else None
     return EigenResult(eps_all.copy(), x, total_iter, resid_norm,
                        resid_norm < tol, fields=fields)
 

@@ -14,17 +14,12 @@ Total free energy:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Any, Callable, NamedTuple
 
 import numpy as np
 
 from repro.dft.basis import PlaneWaveBasis, density_from_fields
-from repro.dft.eigensolver import (
-    EigenResult,
-    solve_all_band,
-    solve_band_by_band,
-    solve_direct,
-)
+from repro.dft.eigensolver import eigensolve
 from repro.dft.ewald import ewald_energy
 from repro.dft.grid import RealSpaceGrid
 from repro.dft.hamiltonian import Hamiltonian
@@ -36,7 +31,7 @@ from repro.dft.occupations import (
     smearing_entropy,
 )
 from repro.dft.pseudopotential import NonlocalProjectors, local_potential
-from repro.dft.xc import lda_xc
+from repro.dft.xc import lda_xc, xc_energy
 from repro.sanitize import ENV_SANITIZERS, Sanitizers
 from repro.systems.configuration import Configuration
 
@@ -142,30 +137,161 @@ def _occupy(
     return mu, occupations(opts.smearing, eigs, mu, opts.kt)
 
 
-def _solve(
-    ham: Hamiltonian,
-    psi: np.ndarray,
-    opts: SCFOptions,
-    instrumentation: Instrumentation | None = None,
-) -> EigenResult:
-    # want_fields=True: the returned real-space fields feed the density
-    # build directly, skipping a redundant to_grid of the converged block.
-    if opts.eigensolver == "direct":
-        return solve_direct(
-            ham, psi.shape[1], instrumentation=instrumentation,
-            want_fields=True,
+class DensityPass(NamedTuple):
+    """One evaluation ρ ↦ ρ_out of a density map."""
+
+    #: output density, nonnegative and renormalized to N_e
+    rho_out: np.ndarray
+    energy: float
+    mu: float
+    eig_iterations: int
+    #: map-specific attributes of the per-iteration span and debug log
+    attrs: dict[str, float]
+    #: map-specific products the caller builds its result from
+    data: Any = None
+
+
+class FixedPoint(NamedTuple):
+    """Outcome of :func:`scf_fixed_point` (``final``: the consistent pass)."""
+
+    final: DensityPass
+    converged: bool
+    iterations: int
+    history: list[float]
+    residuals: list[float]
+    eig_iterations: int
+
+
+def scf_fixed_point(
+    density_map: Callable[[np.ndarray, int | None], DensityPass],
+    config: Configuration,
+    grid: RealSpaceGrid,
+    rho0: np.ndarray | None,
+    opts: Any,
+    ins: Instrumentation | None,
+    san: Sanitizers | None,
+    engine: str,
+) -> FixedPoint:
+    """Mix the density to the fixed point ρ = F[ρ] of ``density_map`` F.
+
+    The one SCF loop of :func:`run_scf` (``engine="pw"``) and
+    :func:`repro.core.ldc.run_ldc` (``engine="ldc"``); the map is called as
+    ``density_map(rho, it)``, with ``it=None`` for the final consistent
+    pass.  ``opts`` supplies ``tol``, ``max_iter``, ``mixer``, ``mix_alpha``.
+    """
+    scope = "scf" if engine == "pw" else engine
+    n_electrons = config.n_electrons()
+    if rho0 is not None and rho0.shape != grid.shape:
+        rho0 = None  # stale-shaped warm start (grid changed) → cold start
+    rho = initial_density(grid, config) if rho0 is None else rho0.copy()
+    rho = renormalize(rho, n_electrons, grid.dv)
+    if san is not None and san.numerics is not None:
+        san.numerics.check(
+            "rho0", rho, where=f"{scope}.init", expect_dtype=np.float64
         )
-    if opts.eigensolver == "all_band":
-        return solve_all_band(
-            ham, psi, max_iter=opts.eig_max_iter, tol=opts.eig_tol,
-            instrumentation=instrumentation, want_fields=True,
+
+    mixer: PulayMixer | LinearMixer
+    if opts.mixer == "pulay":
+        mixer = PulayMixer(alpha=opts.mix_alpha)
+    elif opts.mixer == "linear":
+        mixer = LinearMixer(alpha=opts.mix_alpha)
+    else:
+        raise ValueError(f"unknown mixer {opts.mixer!r}")
+
+    hm = None if ins is None else ins.health
+    history: list[float] = []
+    residuals: list[float] = []
+    converged = False
+    it = 0
+    eig_total = 0
+    for it in range(1, opts.max_iter + 1):
+        if ins is not None:
+            t_iter = ins.tracer.now()
+        step = density_map(rho, it)
+        eig_total += int(step.eig_iterations)
+        resid = grid.integrate(np.abs(step.rho_out - rho)) / max(
+            n_electrons, 1.0
         )
-    if opts.eigensolver == "band_by_band":
-        return solve_band_by_band(
-            ham, psi, tol=opts.eig_tol, instrumentation=instrumentation,
-            want_fields=True,
+        residuals.append(resid)
+        history.append(step.energy)
+        if ins is not None:
+            ins.counter("scf.iterations", engine=engine).inc()
+            ins.series("scf.residual", engine=engine).append(resid)
+            ins.series("scf.energy", engine=engine).append(step.energy)
+            ins.series("scf.mu", engine=engine).append(step.mu)
+            ins.tracer.record_complete(
+                f"{scope}.iteration", ins.tracer.now() - t_iter,
+                category=scope, iteration=it, residual=resid, **step.attrs,
+            )
+            ins.log.debug(
+                f"{scope} iteration",
+                extra={"engine": engine, "iteration": it, "residual": resid,
+                       "energy": step.energy, "mu": step.mu, **step.attrs},
+            )
+        if hm is not None:
+            hm.observe(
+                "scf.residual", engine=engine, iteration=it, residual=resid
+            )
+        if resid < opts.tol:
+            rho = step.rho_out
+            converged = True
+            break
+        rho = renormalize(
+            np.clip(mixer.mix(rho, step.rho_out), 0.0, None), n_electrons,
+            grid.dv,
         )
-    raise ValueError(f"unknown eigensolver {opts.eigensolver!r}")
+
+    # Energy evaluated self-consistently at the final density.
+    final = density_map(rho, None)
+    eig_total += int(final.eig_iterations)
+    if hm is not None:
+        hm.observe(
+            "scf.density", engine=engine,
+            total_charge=grid.integrate(final.rho_out),
+            n_electrons=n_electrons,
+        )
+        hm.observe(
+            "solver.convergence", solver=f"scf[{engine}]",
+            converged=converged, iterations=it, final=True,
+            residual=residuals[-1] if residuals else None,
+        )
+    return FixedPoint(final, converged, it, history, residuals, eig_total)
+
+
+def traced_run(
+    ins: Instrumentation,
+    scope: str,
+    opts: Any,
+    config: Configuration,
+    run: Callable[[], Any],
+    span_attrs: dict[str, Any],
+    log_extra: dict[str, Any],
+) -> Any:
+    """Run a driver body under the ``{scope}.run`` span, with the run
+    ledger's invocation/failure records and the ``{scope} finished`` log.
+    Drivers call it only with instrumentation attached: their ``None`` path
+    calls the body directly and executes no telemetry code."""
+    natoms = len(config.symbols)
+    if ins.recorder is not None:
+        ins.recorder.record_invocation(f"{scope}.run", opts, natoms=natoms)
+    with ins.span(
+        f"{scope}.run", category=scope, natoms=natoms, **span_attrs
+    ) as span:
+        try:
+            result = run()
+        except Exception as exc:
+            if ins.recorder is not None:
+                ins.recorder.record_failure(exc)
+            raise
+        span.attrs.update(
+            converged=result.converged, iterations=result.iterations
+        )
+        ins.log.info(
+            f"{scope} finished",
+            extra={**log_extra, "converged": result.converged,
+                   "iterations": result.iterations, "energy": result.energy},
+        )
+    return result
 
 
 def run_scf(
@@ -188,8 +314,9 @@ def run_scf(
     options:
         :class:`SCFOptions`; defaults are sized for toy systems.
     v_extra:
-        Optional extra external potential on the grid (used by LDC domain
-        solves to inject the boundary potential; exposed here for tests).
+        Optional extra external potential on the grid, added to the
+        effective potential (its interaction energy is already inside the
+        band energy, so the total energy needs no correction).
     rho0:
         Optional initial density (e.g. from the previous MD step).  A
         stale-shaped array (grid changed since it was produced) is ignored
@@ -228,35 +355,14 @@ def run_scf(
         psi0 = None  # orbitals live on the old cell's basis
     if instrumentation is None:
         return _run_scf(config, opts, v_extra, rho0, grid, None, psi0, san)
-    if instrumentation.recorder is not None:
-        instrumentation.recorder.record_invocation(
-            "scf.run", opts, natoms=len(config.symbols)
-        )
-    with instrumentation.span(
-        "scf.run", category="scf", natoms=len(config.symbols),
-        eigensolver=opts.eigensolver, mixer=opts.mixer,
-    ) as span:
-        try:
-            result = _run_scf(
-                config, opts, v_extra, rho0, grid, instrumentation, psi0, san
-            )
-        except Exception as exc:
-            if instrumentation.recorder is not None:
-                instrumentation.recorder.record_failure(exc)
-            raise
-        span.attrs.update(
-            converged=result.converged, iterations=result.iterations
-        )
-        instrumentation.log.info(
-            "scf finished",
-            extra={
-                "engine": "pw",
-                "converged": result.converged,
-                "iterations": result.iterations,
-                "energy": result.energy,
-            },
-        )
-    return result
+    return traced_run(
+        instrumentation, "scf", opts, config,
+        lambda: _run_scf(
+            config, opts, v_extra, rho0, grid, instrumentation, psi0, san
+        ),
+        {"eigensolver": opts.eigensolver, "mixer": opts.mixer},
+        {"engine": "pw"},
+    )
 
 
 def _run_scf(
@@ -270,7 +376,6 @@ def _run_scf(
     san: "Sanitizers | None" = None,
 ) -> SCFResult:
     """SCF implementation; ``ins``/``san`` are the facades or None."""
-    hm = None if ins is None else ins.health
     if grid is None:
         grid = RealSpaceGrid.for_cutoff(config.cell, opts.ecut, opts.grid_factor)
     basis = PlaneWaveBasis(grid, opts.ecut)
@@ -283,48 +388,22 @@ def _run_scf(
     e_ewald = ewald_energy(
         config.wrapped_positions(), config.zvals, config.cell
     )
-
-    if rho0 is not None and rho0.shape != grid.shape:
-        rho0 = None  # stale-shaped warm start (grid changed) → cold start
-    rho = initial_density(grid, config) if rho0 is None else rho0.copy()
-    rho = renormalize(rho, n_electrons, grid.dv)
-    if san is not None and san.numerics is not None:
-        san.numerics.check(
-            "rho0", rho, where="scf.init", expect_dtype=np.float64
-        )
     if psi0 is not None and psi0.shape == (basis.npw, nband):
         psi = psi0  # orbital warm start (previous MD step's converged block)
     else:
         psi = basis.random_orbitals(nband, seed=opts.seed)
 
-    mixer: PulayMixer | LinearMixer
-    if opts.mixer == "pulay":
-        mixer = PulayMixer(alpha=opts.mix_alpha)
-    elif opts.mixer == "linear":
-        mixer = LinearMixer(alpha=opts.mix_alpha)
-    else:
-        raise ValueError(f"unknown mixer {opts.mixer!r}")
-
-    history: list[float] = []
-    residuals: list[float] = []
-    converged = False
-    energy = np.nan
-    mu = 0.0
-    occs = np.zeros(nband)
-    eigs = np.zeros(nband)
-    vh = np.zeros(grid.shape)
-    it = 0
-    eig_total = 0
-
-    for it in range(1, opts.max_iter + 1):
-        if ins is not None:
-            t_iter = ins.tracer.now()
-        ham, vh, vxc = build_hamiltonian(basis, config, rho, v_loc, nonlocal_, v_extra)
-        if ins is None:
-            eig = _solve(ham, psi, opts)
+    def plane_wave_pass(rho: np.ndarray, it: int | None) -> DensityPass:
+        """Build H[ρ], solve, occupy, and assemble ρ_out and the energy."""
+        nonlocal psi
+        ham, vh, vxc = build_hamiltonian(
+            basis, config, rho, v_loc, nonlocal_, v_extra
+        )
+        if ins is None or it is None:
+            eig = eigensolve(ham, psi, opts, ins)
         else:
             with ins.span("scf.eigensolve", category="scf", iteration=it) as sp:
-                eig = _solve(ham, psi, opts, ins)
+                eig = eigensolve(ham, psi, opts, ins)
                 # solve sizes feed the per-kernel FLOP attribution
                 # (repro.observability.costattr) at report time
                 sp.attrs.update(
@@ -333,106 +412,55 @@ def _run_scf(
                     nproj=len(nonlocal_.d), cg_iterations=eig.iterations,
                 )
         psi = eig.orbitals
-        eigs = eig.eigenvalues
-        eig_total += int(eig.iterations)
-        mu, occs = _occupy(eigs, n_electrons, opts)
-        rho_out = density_from_fields(eig.fields, occs)
-        rho_out = renormalize(rho_out, n_electrons, grid.dv)
-        if san is not None and san.numerics is not None:
+        mu, occs = _occupy(eig.eigenvalues, n_electrons, opts)
+        rho_out = renormalize(
+            density_from_fields(eig.fields, occs), n_electrons, grid.dv
+        )
+        if it is not None and san is not None and san.numerics is not None:
             san.numerics.check(
-                "eigenvalues", eigs, where=f"scf.iteration[{it}]"
+                "eigenvalues", eig.eigenvalues, where=f"scf.iteration[{it}]"
             )
             san.numerics.check(
                 "rho_new", rho_out, where=f"scf.iteration[{it}]",
                 expect_dtype=np.float64,
             )
-
-        resid = grid.integrate(np.abs(rho_out - rho)) / max(n_electrons, 1.0)
-        residuals.append(resid)
-
-        energy = _total_energy(
-            grid, eigs, occs, rho_out, vh, vxc, e_ewald, mu, opts.kt, v_extra
+        terms = _energy_terms(
+            grid, eig.eigenvalues, occs, rho_out, vh, vxc, e_ewald, mu,
+            opts.kt,
         )
-        history.append(energy)
-
-        if ins is not None:
-            ins.counter("scf.iterations", engine="pw").inc()
-            ins.series("scf.residual", engine="pw").append(resid)
-            ins.series("scf.energy", engine="pw").append(energy)
-            ins.series("scf.mu", engine="pw").append(mu)
-            ins.tracer.record_complete(
-                "scf.iteration", ins.tracer.now() - t_iter, category="scf",
-                iteration=it, residual=resid, energy=energy,
-            )
-            ins.log.debug(
-                "scf iteration",
-                extra={"engine": "pw", "iteration": it,
-                       "residual": resid, "energy": energy, "mu": mu},
-            )
-        if hm is not None:
-            hm.observe(
-                "scf.residual", engine="pw", iteration=it, residual=resid
-            )
-
-        if resid < opts.tol:
-            rho = rho_out
-            converged = True
-            break
-        rho = renormalize(
-            np.clip(mixer.mix(rho, rho_out), 0.0, None), n_electrons, grid.dv
+        return DensityPass(
+            rho_out, terms["total"], mu, eig.iterations,
+            {"energy": terms["total"]}, (eig, occs, terms),
         )
 
-    # Energy evaluated self-consistently at the final density.
-    ham, vh, vxc = build_hamiltonian(basis, config, rho, v_loc, nonlocal_, v_extra)
-    eig = _solve(ham, psi, opts, ins)
-    psi = eig.orbitals
-    eigs = eig.eigenvalues
-    eig_total += int(eig.iterations)
-    mu, occs = _occupy(eigs, n_electrons, opts)
-    rho_final = renormalize(
-        density_from_fields(eig.fields, occs), n_electrons, grid.dv
+    fp = scf_fixed_point(
+        plane_wave_pass, config, grid, rho0, opts, ins, san, engine="pw"
     )
-    energy = _total_energy(
-        grid, eigs, occs, rho_final, vh, vxc, e_ewald, mu, opts.kt, v_extra
-    )
-
-    if hm is not None:
-        hm.observe(
-            "scf.density", engine="pw",
-            total_charge=grid.integrate(rho_final), n_electrons=n_electrons,
-        )
-        hm.observe(
-            "solver.convergence", solver="scf[pw]", converged=converged,
-            iterations=it, final=True,
-            residual=residuals[-1] if residuals else None,
-        )
-
-    e_h = hartree_energy(grid, rho_final, vh)
-    from repro.dft.xc import xc_energy
-
+    final = fp.final
+    eig, occs, terms = final.data
     return SCFResult(
-        energy=energy,
-        band_energy=float(np.sum(occs * eigs)),
-        hartree=e_h,
-        xc=xc_energy(rho_final, grid.dv),
+        energy=final.energy,
+        band_energy=terms["band"],
+        hartree=terms["hartree"],
+        xc=terms["xc"],
         ewald=e_ewald,
-        entropy_term=-opts.kt * smearing_entropy(eigs, mu, opts.kt),
-        eigenvalues=eigs,
+        entropy_term=terms["entropy"],
+        eigenvalues=eig.eigenvalues,
         occupations=occs,
-        mu=mu,
-        density=rho_final,
-        orbitals=psi,
+        mu=final.mu,
+        density=final.rho_out,
+        orbitals=eig.orbitals,
         basis=basis,
         grid=grid,
-        converged=converged,
-        iterations=it,
-        history=history,
-        density_residuals=residuals,
-        eig_iterations=eig_total,
+        converged=fp.converged,
+        iterations=fp.iterations,
+        history=fp.history,
+        density_residuals=fp.residuals,
+        eig_iterations=fp.eig_iterations,
     )
 
 
-def _total_energy(
+def _energy_terms(
     grid: RealSpaceGrid,
     eigs: np.ndarray,
     occs: np.ndarray,
@@ -442,24 +470,22 @@ def _total_energy(
     e_ewald: float,
     mu: float,
     kt: float,
-    v_extra: np.ndarray | None,
-) -> float:
-    """Harris-style total energy from band energies and double counting.
+) -> dict[str, float]:
+    """Harris-style total energy from band energies and double counting,
+    with its band/Hartree/XC/entropy terms.
 
     Note: ``vh``/``vxc`` correspond to the *input* density of the last solve;
     at self-consistency input and output coincide and the expression is the
     standard KS total energy.
     """
-    from repro.dft.xc import xc_energy
-
-    e_band = float(np.sum(occs * eigs))
-    double_count = grid.integrate(rho * (vh + vxc))
-    e_h = hartree_energy(grid, rho, vh)
-    e_xc = xc_energy(rho, grid.dv)
-    entropy = -kt * smearing_entropy(eigs, mu, kt)
-    extra = 0.0
-    if v_extra is not None:
-        # v_extra is an external potential: keep its interaction energy but
-        # it is already inside the band energy; no double counting needed.
-        extra = 0.0
-    return e_band - double_count + e_h + e_xc + e_ewald + entropy + extra
+    terms = {
+        "band": float(np.sum(occs * eigs)),
+        "hartree": hartree_energy(grid, rho, vh),
+        "xc": xc_energy(rho, grid.dv),
+        "entropy": -kt * smearing_entropy(eigs, mu, kt),
+    }
+    terms["total"] = (
+        terms["band"] - grid.integrate(rho * (vh + vxc)) + terms["hartree"]
+        + terms["xc"] + e_ewald + terms["entropy"]
+    )
+    return terms

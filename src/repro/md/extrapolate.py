@@ -220,6 +220,7 @@ class DomainHistory:
         the caller may mutate them freely (the LDC driver updates v_bc in
         place every SCF iteration) without corrupting the window.
         """
+        self.last_prediction = None
         if key != self._key or not self._entries:
             return None
         use = self._entries[: max(1, depth or self.depth)]

@@ -26,7 +26,11 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.constants import ATU_TO_FS
-from repro.md.extrapolate import DomainHistory, subspace_residual
+from repro.md.extrapolate import (
+    DomainHistory,
+    extrapolate_fields,
+    subspace_residual,
+)
 from repro.md.integrator import VelocityVerlet, kinetic_energy, temperature
 from repro.systems.configuration import Configuration
 
@@ -91,7 +95,84 @@ class QMDFrame:
         return self.potential_energy + self.kinetic_energy
 
 
-class LDCEngine:
+class _QMDEngine:
+    """The engine body :class:`LDCEngine` and :class:`SCFEngine` share.
+
+    ``forces()`` guards the cell (a change drops every cache: cold start),
+    counts the solve by warm-start tier, seeds it from the ASPC window of
+    the last ``history_depth`` converged densities, and records the
+    eigensolver cost.  Only a converged solve enters the windows.
+    Subclasses supply the ``engine`` label, the solve, and the orbital
+    window.
+    """
+
+    label = ""
+
+    def __init__(
+        self, options, instrumentation, sanitize, qmd_options, depth: int = 1
+    ) -> None:
+        self.options = options
+        self.instrumentation = instrumentation
+        #: optional :class:`repro.sanitize.Sanitizers` bundle threaded into
+        #: every solve (None defers to REPRO_SANITIZE)
+        self.sanitize = sanitize
+        resolved = _resolve_history_depth(qmd_options)
+        self.history_depth = depth if resolved is None else resolved
+        self._rho_hist: list[np.ndarray] = []
+        self._cell: np.ndarray | None = None
+        #: the first (cold) step's eigensolver-iteration count — the
+        #: reference the per-step ``qmd.eig_iters_saved`` series is
+        #: measured against
+        self._cold_eig_iters: int | None = None
+
+    def forces(self, config: Configuration):
+        cell = np.asarray(config.cell, dtype=float).reshape(3)
+        if self._cell is not None and not np.array_equal(self._cell, cell):
+            self._rho_hist.clear()  # densities live on a stale grid
+            self._reset_orbitals()  # orbitals live on a stale basis
+        self._cell = cell.copy()
+        ins = self.instrumentation
+        if ins is not None:
+            start = "orbital" if self._has_orbitals() else (
+                "density" if self._rho_hist else "cold")
+            ins.counter("qmd.solves", engine=self.label, start=start).inc()
+        window = self._rho_hist[: self.history_depth]
+        rho0 = extrapolate_fields(window, nonnegative=True) if window else None
+        result, forces = self._solve(config, rho0)
+        if result.converged:
+            rho = result.density
+            if self._rho_hist and self._rho_hist[0].shape != rho.shape:
+                self._rho_hist.clear()  # grid changed
+            self._rho_hist.insert(0, rho)
+            del self._rho_hist[self.history_depth:]
+            self._push_orbitals(result)
+        if ins is not None:
+            ins.series("qmd.eig_iterations", engine=self.label).append(
+                result.eig_iterations
+            )
+            if self._cold_eig_iters is None:
+                self._cold_eig_iters = int(result.eig_iterations)
+            else:
+                ins.series("qmd.eig_iters_saved", engine=self.label).append(
+                    self._cold_eig_iters - int(result.eig_iterations)
+                )
+        return forces, result.energy, result.iterations
+
+    def _solve(self, config: Configuration, rho0):
+        """One electronic solve from density ``rho0`` → (result, forces)."""
+        raise NotImplementedError
+
+    def _has_orbitals(self) -> bool:
+        raise NotImplementedError
+
+    def _reset_orbitals(self) -> None:
+        raise NotImplementedError
+
+    def _push_orbitals(self, result) -> None:
+        """Store a converged solve's orbitals for the next warm start."""
+
+
+class LDCEngine(_QMDEngine):
     """Force engine backed by :func:`repro.core.ldc.run_ldc`.
 
     ``instrumentation`` (optional) is threaded into every ``run_ldc`` call;
@@ -100,14 +181,14 @@ class LDCEngine:
     step's converged orbitals, the QMD tricks the paper's time-to-solution
     numbers depend on.
 
-    ``use_workspace`` (default on) gives the engine a persistent
+    The engine keeps a persistent
     :class:`~repro.core.workspace.LDCWorkspace`: the grid, decomposition,
     partition of unity, per-domain bases, and Ewald structure are built once
     per cell, and each step's domain solves warm-start from the ASPC
     prediction over each domain's history window
     (``LDCOptions.history_depth``; depth 1 = the previous step's converged
     ψ).  A cell change between ``forces()`` calls resets the workspace and
-    the cached density (cold start, never a stale-shape crash).
+    the density window (cold start, never a stale-shape crash).
 
     ``qmd_options`` (:class:`QMDOptions`) layers the MD-level
     accelerations on top: a history depth override
@@ -116,130 +197,71 @@ class LDCEngine:
     :class:`~repro.core.advisor.BufferController` that watches the live
     boundary-error telemetry each step and re-tunes ``options.buffer``
     (the workspace detects the option change and rebuilds; the global
-    density cache survives, so the restart is density-warm).
+    density window survives, so the restart is density-warm).
     """
 
+    label = "ldc"
+
     def __init__(
-        self, options=None, instrumentation=None, use_workspace: bool = True,
-        sanitize=None, qmd_options: QMDOptions | None = None,
+        self, options=None, instrumentation=None, sanitize=None,
+        qmd_options: QMDOptions | None = None,
     ) -> None:
         from repro.core.ldc import LDCOptions
         from repro.core.workspace import LDCWorkspace
 
-        self.options = options or LDCOptions()
-        depth = _resolve_history_depth(qmd_options)
-        if depth is not None and depth != self.options.history_depth:
-            self.options = replace(self.options, history_depth=depth)
+        options = options or LDCOptions()
+        super().__init__(
+            options, instrumentation, sanitize, qmd_options, options.history_depth
+        )
+        if self.history_depth != options.history_depth:
+            self.options = replace(options, history_depth=self.history_depth)
         self.controller: BufferController | None = None
         if _resolve_adaptive_buffer(qmd_options):
-            from repro.core.advisor import BufferController
+            from repro.core import advisor
 
             ctl = qmd_options.controller if qmd_options is not None else None
             self.controller = (
-                BufferController(ctl) if ctl is not None
-                else BufferController()
+                advisor.BufferController(ctl) if ctl is not None
+                else advisor.BufferController()
             )
-        self.instrumentation = instrumentation
-        #: optional :class:`repro.sanitize.Sanitizers` bundle threaded into
-        #: every solve (None defers to REPRO_SANITIZE)
-        self.sanitize = sanitize
-        self.workspace = LDCWorkspace() if use_workspace else None
-        self._rho = None
-        #: newest-first window of converged global densities; at
-        #: ``history_depth >= 2`` each step's ``rho0`` is the ASPC
-        #: extrapolation over it (fewer density-mixing passes), at depth 1
-        #: it degrades to the last-state reuse ``self._rho`` already gives
-        self._rho_hist: list[np.ndarray] = []
-        self._cell = None
-        #: the first (cold) step's eigensolver-iteration count — the
-        #: reference the per-step ``qmd.eig_iters_saved`` series is
-        #: measured against
-        self._cold_eig_iters: int | None = None
+        self.workspace = LDCWorkspace()
 
-    def forces(self, config: Configuration):
+    def _has_orbitals(self) -> bool:
+        return self.workspace.has_orbitals
+
+    def _reset_orbitals(self) -> None:
+        self.workspace.reset()
+
+    def _solve(self, config: Configuration, rho0):
+        # run_ldc stores a converged step's domain states on the workspace
         from repro.core.ldc import run_ldc
 
-        self._guard_cell(config)
         ins = self.instrumentation
-        if ins is not None:
-            if self.workspace is not None and self.workspace.has_orbitals:
-                start = "orbital"
-            elif self._rho is not None:
-                start = "density"
-            else:
-                start = "cold"
-            _record_warm_start(ins, "ldc", start)
         result = run_ldc(
-            config, self.options, compute_forces=True,
-            rho0=self._predict_rho(), instrumentation=ins,
-            workspace=self.workspace, sanitize=self.sanitize,
+            config, self.options, compute_forces=True, rho0=rho0,
+            instrumentation=ins, workspace=self.workspace,
+            sanitize=self.sanitize,
         )
-        self._rho = result.density
-        self._push_rho(result.density)
         if ins is not None:
-            self._record_solver_cost(ins, result)
+            # the (b, l*) the step ran at
+            from repro.core.complexity import optimal_core_length
+
+            ctl = self.controller
+            nu = ctl.options.nu if ctl is not None else 2.0
+            ins.series("ldc.buffer_b").append(self.options.buffer)
+            ins.series("ldc.core_l").append(
+                optimal_core_length(self.options.buffer, nu)
+            )
         if self.controller is not None:
             self._adapt_buffer(ins, result)
-        return result.forces, result.energy, result.iterations
-
-    def _predict_rho(self):
-        """The global-density seed for the next solve.
-
-        Depth 1 (or a too-short window): the last converged density —
-        PR 4's warm start, bit-for-bit.  Depth ≥ 2: the ASPC field
-        extrapolation over the window (clipped nonnegative; the mixer
-        renormalizes the electron count).
-        """
-        depth = self.options.history_depth
-        if depth <= 1 or len(self._rho_hist) < 2:
-            return self._rho
-        from repro.md.extrapolate import extrapolate_fields
-
-        return extrapolate_fields(
-            self._rho_hist[:depth], nonnegative=True
-        )
-
-    def _push_rho(self, rho) -> None:
-        depth = self.options.history_depth
-        if depth <= 1:
-            self._rho_hist.clear()
-            return
-        if self._rho_hist and self._rho_hist[0].shape != rho.shape:
-            self._rho_hist.clear()  # grid changed (e.g. buffer re-tune)
-        self._rho_hist.insert(0, rho)
-        del self._rho_hist[depth:]
-
-    def _record_solver_cost(self, ins, result) -> None:
-        """Per-step predictor/cost series for the run ledger: eigensolver
-        iterations, iterations saved vs. the cold first step, and the
-        (b, l*) the step ran at."""
-        from repro.core.complexity import optimal_core_length
-
-        ins.series("qmd.eig_iterations", engine="ldc").append(
-            result.eig_iterations
-        )
-        if self._cold_eig_iters is None:
-            self._cold_eig_iters = int(result.eig_iterations)
-        else:
-            ins.series("qmd.eig_iters_saved", engine="ldc").append(
-                self._cold_eig_iters - int(result.eig_iterations)
-            )
-        nu = (
-            self.controller.options.nu
-            if self.controller is not None
-            else 2.0
-        )
-        ins.series("ldc.buffer_b").append(self.options.buffer)
-        ins.series("ldc.core_l").append(
-            optimal_core_length(self.options.buffer, nu)
-        )
+        return result, result.forces
 
     def _adapt_buffer(self, ins, result) -> None:
         """One Eq.-1 controller step on the live boundary-error telemetry.
 
         A changed decision re-binds ``self.options`` with the new buffer;
         the workspace notices the option-signature change on the next
-        ``prepare`` and rebuilds (the density cache stays valid — the
+        ``prepare`` and rebuilds (the density window stays valid — the
         global grid does not depend on the buffer)."""
         if not result.boundary_errors:
             return
@@ -262,125 +284,61 @@ class LDCEngine:
             )
         self.options = replace(self.options, buffer=decision.buffer)
 
-    def _guard_cell(self, config: Configuration) -> None:
-        cell = np.asarray(config.cell, dtype=float).reshape(3)
-        if self._cell is not None and not np.array_equal(self._cell, cell):
-            self._rho = None  # previous density lives on a stale grid
-            self._rho_hist.clear()
-            if self.workspace is not None:
-                self.workspace.reset()
-        self._cell = cell.copy()
 
-
-class SCFEngine:
+class SCFEngine(_QMDEngine):
     """Force engine backed by the conventional O(N³) SCF.
 
-    Warm-starts each step from the previous step's density *and* converged
-    orbitals (``use_orbital_warm_start=False`` disables the latter); with
-    ``qmd_options.history_depth >= 2`` (or ``$REPRO_ASPC_DEPTH``) it keeps
-    a bounded :class:`~repro.md.extrapolate.DomainHistory` of converged
-    (ψ, ρ) and seeds each solve from the ASPC prediction instead.  A cell
-    change between ``forces()`` calls drops every cache, and the previous
-    cell is also handed to ``run_scf(warm_cell=)`` so the solver applies
-    the same deterministic fallback for any caller.
+    Warm-starts each step from the density window and from a bounded
+    :class:`~repro.md.extrapolate.DomainHistory` of converged ψ: at
+    ``qmd_options.history_depth >= 2`` (or ``$REPRO_ASPC_DEPTH``) both
+    seeds are ASPC predictions, at depth 1 the previous step's converged
+    state.  A cell change between ``forces()`` calls drops every cache.
     """
 
+    label = "pw"
+
     def __init__(
-        self, options=None, instrumentation=None,
-        use_orbital_warm_start: bool = True, sanitize=None,
+        self, options=None, instrumentation=None, sanitize=None,
         qmd_options: QMDOptions | None = None,
     ) -> None:
         from repro.dft.scf import SCFOptions
 
-        self.options = options or SCFOptions()
-        self.instrumentation = instrumentation
-        #: optional :class:`repro.sanitize.Sanitizers` bundle threaded into
-        #: every solve (None defers to REPRO_SANITIZE)
-        self.sanitize = sanitize
-        self.use_orbital_warm_start = use_orbital_warm_start
-        self.history_depth = _resolve_history_depth(qmd_options) or 1
-        #: ASPC window of converged (ψ, ρ) — only consulted at depth >= 2
+        super().__init__(
+            options or SCFOptions(), instrumentation, sanitize, qmd_options
+        )
+        #: ASPC window of converged ψ blocks
         self._history = DomainHistory(depth=self.history_depth)
-        self._rho = None
-        self._psi = None
-        self._cell = None
-        self._cold_eig_iters: int | None = None
 
-    def forces(self, config: Configuration):
+    def _has_orbitals(self) -> bool:
+        return len(self._history) > 0
+
+    def _reset_orbitals(self) -> None:
+        self._history.clear()
+
+    def _solve(self, config: Configuration, rho0):
         from repro.dft.forces import forces_from_scf
         from repro.dft.scf import run_scf
 
-        prev_cell = self._cell
-        self._guard_cell(config)
-        ins = self.instrumentation
-        if ins is not None:
-            if self._psi is not None:
-                start = "orbital"
-            elif self._rho is not None:
-                start = "density"
-            else:
-                start = "cold"
-            _record_warm_start(ins, "pw", start)
-        psi0, rho0 = self._psi, self._rho
-        if self.history_depth > 1 and len(self._history):
-            predicted = self._history.predict(
-                self._history.key, depth=self.history_depth
-            )
-            if predicted is not None:
-                psi0 = predicted[0]
-                if predicted[2] is not None:
-                    rho0 = predicted[2]
-        result = run_scf(
-            config, self.options, rho0=rho0, instrumentation=ins,
-            psi0=psi0, sanitize=self.sanitize, warm_cell=prev_cell,
+        predicted = self._history.predict(
+            self._history.key, depth=self.history_depth
         )
-        self._rho = result.density
-        if self.use_orbital_warm_start:
-            self._psi = result.orbitals
-            if self.history_depth > 1:
-                if ins is not None and (
-                    self._history.last_prediction is not None
-                ):
-                    res = subspace_residual(
-                        self._history.last_prediction, result.orbitals
-                    )
-                    if np.isfinite(res):
-                        ins.series("scf.predictor_residual").append(res)
-                self._history.last_prediction = None
-                self._history.push(
-                    (result.orbitals.shape,), result.orbitals, None,
-                    result.density,
-                )
-        if ins is not None:
-            ins.series("qmd.eig_iterations", engine="pw").append(
-                result.eig_iterations
-            )
-            if self._cold_eig_iters is None:
-                self._cold_eig_iters = int(result.eig_iterations)
-            else:
-                ins.series("qmd.eig_iters_saved", engine="pw").append(
-                    self._cold_eig_iters - int(result.eig_iterations)
-                )
-        f = forces_from_scf(config, result)
-        return f, result.energy, result.iterations
+        psi0 = None if predicted is None else predicted[0]
+        result = run_scf(
+            config, self.options, rho0=rho0,
+            instrumentation=self.instrumentation, psi0=psi0,
+            sanitize=self.sanitize,
+        )
+        return result, forces_from_scf(config, result)
 
-    def _guard_cell(self, config: Configuration) -> None:
-        cell = np.asarray(config.cell, dtype=float).reshape(3)
-        if self._cell is not None and not np.array_equal(self._cell, cell):
-            self._rho = None  # previous density lives on a stale grid
-            self._psi = None  # previous orbitals live on a stale basis
-            self._history.clear()  # ASPC window spans the old cell
-        self._cell = cell.copy()
-
-
-def _record_warm_start(ins, engine: str, start: str) -> None:
-    """Count electronic solves by warm-start tier.
-
-    ``start`` is ``"cold"`` (random ψ, model density), ``"density"``
-    (previous step's ρ only), or ``"orbital"`` (previous step's converged
-    ψ — implies the density warm start too).
-    """
-    ins.counter("qmd.solves", engine=engine, start=start).inc()
+    def _push_orbitals(self, result) -> None:
+        ins = self.instrumentation
+        prediction = self._history.last_prediction
+        if ins is not None and self.history_depth > 1 and prediction is not None:
+            res = subspace_residual(prediction, result.orbitals)
+            if np.isfinite(res):
+                ins.series("scf.predictor_residual").append(res)
+        self._history.last_prediction = None
+        self._history.push((result.orbitals.shape,), result.orbitals, None, None)
 
 
 class QMDDriver:

@@ -11,7 +11,7 @@ from repro.core.ldc import LDCOptions, run_ldc
 from repro.core.parallel_ldc import run_parallel_ldc
 from repro.dft.scf import SCFOptions, run_scf
 from repro.md.integrator import initialize_velocities
-from repro.md.qmd import LDCEngine, QMDDriver
+from repro.md.qmd import LDCEngine, QMDDriver, SCFEngine
 from repro.observability import Instrumentation
 from repro.observability.report import phase_breakdown
 from repro.systems import dimer
@@ -74,6 +74,11 @@ def test_ldc_records_domain_spans_and_boundary_metrics(h2):
 
     resid = ins.metrics.get("scf.residual", engine="ldc")
     assert resid.values == pytest.approx(result.density_residuals)
+    energy = ins.metrics.get("scf.energy", engine="ldc")
+    assert energy.values == pytest.approx(result.history)
+    iters = ins.metrics.get("scf.iterations", engine="ldc")
+    assert iters.value == result.iterations
+    assert ins.tracer.count("ldc.run/ldc.iteration") == result.iterations
     # per-domain buffer-error series exist once rho_local is warm
     per_domain = [
         k for k in ins.metrics.keys()
@@ -85,28 +90,37 @@ def test_ldc_records_domain_spans_and_boundary_metrics(h2):
     assert len(ins.metrics.get("poisson.residual").values) > 0
 
 
-def test_qmd_step_spans_and_warm_start_counters(h2):
+@pytest.mark.parametrize(
+    "engine_cls, opts, label, scope",
+    [(LDCEngine, LDC_OPTS, "ldc", "ldc"), (SCFEngine, SCF_OPTS, "pw", "scf")],
+    ids=["ldc", "pw"],
+)
+def test_qmd_step_spans_and_warm_start_counters(h2, engine_cls, opts, label,
+                                                scope):
     cfg = dimer("H", "H", 1.5, 12.0)
     initialize_velocities(cfg, 100.0, seed=0)
     ins = Instrumentation()
-    driver = QMDDriver(LDCEngine(LDC_OPTS), timestep=5.0, instrumentation=ins)
+    driver = QMDDriver(engine_cls(opts), timestep=5.0, instrumentation=ins)
     frames = driver.run(cfg, 2)
 
     assert ins.tracer.count("qmd.step") == 2
     scf_iters = ins.metrics.get("qmd.scf_iterations")
     assert scf_iters.values == [float(f.scf_iterations) for f in frames]
     # 3 solves total (initial force eval + 2 steps): the first is cold, the
-    # rest warm-start from the workspace's cached orbitals (which implies
-    # the density warm start too)
-    cold = ins.metrics.get("qmd.solves", engine="ldc", start="cold")
-    orbital = ins.metrics.get("qmd.solves", engine="ldc", start="orbital")
+    # rest warm-start from the engine's cached orbitals (which implies the
+    # density warm start too)
+    cold = ins.metrics.get("qmd.solves", engine=label, start="cold")
+    orbital = ins.metrics.get("qmd.solves", engine=label, start="orbital")
     assert cold.value == 1
     assert orbital.value == 2
-    assert ins.metrics.get("qmd.solves", engine="ldc", start="density") is None
-    # engine inherited the driver's instrumentation: ldc spans nested in qmd
-    ldc_spans = [s for s in ins.tracer.spans() if s.name == "ldc.run"]
-    assert ldc_spans
-    assert any(s.path.startswith("qmd.step/") for s in ldc_spans)
+    assert ins.metrics.get("qmd.solves", engine=label, start="density") is None
+    eig_iters = ins.metrics.get("qmd.eig_iterations", engine=label)
+    assert len(eig_iters.values) == 3
+    # engine inherited the driver's instrumentation: solver spans nested
+    # in qmd
+    run_spans = [s for s in ins.tracer.spans() if s.name == f"{scope}.run"]
+    assert run_spans
+    assert any(s.path.startswith("qmd.step/") for s in run_spans)
 
 
 def test_parallel_ldc_merges_vm_timeline(h2, tmp_path):

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -197,7 +198,9 @@ def test_workspace_shared_buffers_are_guardable():
     LDCWorkspace buffer during a guarded fan-out region is caught."""
     ws = LDCWorkspace()
     cfg = h2()
-    run_ldc(cfg, LDC_OPTS, workspace=ws)
+    # only a converged run stores its domain states on the workspace
+    result = run_ldc(cfg, replace(LDC_OPTS, max_iter=40), workspace=ws)
+    assert result.converged
     buffers = ws.shared_buffers()
     assert any(name.startswith("pou[") for name in buffers)
     assert any(name.startswith("psi[") for name in buffers)

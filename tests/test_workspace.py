@@ -217,11 +217,22 @@ def test_stale_shaped_rho0_falls_back_to_cold_start():
     assert s.converged
 
 
-def test_ldc_engine_survives_cell_swap():
+ENGINES = [
+    pytest.param(lambda **kw: LDCEngine(LDCOptions(**{**OPTS, **kw})), id="ldc"),
+    pytest.param(
+        lambda **kw: SCFEngine(SCFOptions(ecut=4.0, tol=1e-6, **kw)), id="pw"
+    ),
+]
+
+
+@pytest.mark.parametrize("make_engine", ENGINES)
+def test_engine_survives_cell_swap(make_engine):
     """The engine guard: swapping cells between forces() calls cold-starts
-    instead of feeding a stale-shaped density/workspace into run_ldc."""
-    engine = LDCEngine(LDCOptions(**OPTS))
+    instead of feeding a stale-shaped density/orbital cache into the
+    solver."""
+    engine = make_engine()
     f1, e1, _ = engine.forces(h4_chain())
+    assert engine._has_orbitals()  # orbital cache primed
     swapped = h4_chain()
     swapped.cell = np.array([12.0, 6.0, 6.0])
     swapped.positions += 0.5
@@ -230,16 +241,22 @@ def test_ldc_engine_survives_cell_swap():
     assert np.all(np.isfinite(f2))
 
 
-def test_scf_engine_survives_cell_swap_and_warm_starts():
-    engine = SCFEngine(SCFOptions(ecut=4.0, tol=1e-6))
+@pytest.mark.parametrize("make_engine", ENGINES)
+def test_unconverged_step_stays_out_of_aspc_windows(make_engine):
+    """A max_iter-capped solve must not seed the next step's prediction as
+    if it were converged history: neither the density nor the orbital
+    window grows, and the next solve starts cold again."""
+    ins = Instrumentation()
+    engine = make_engine(max_iter=1)
+    engine.instrumentation = ins
     cfg = h4_chain()
-    _, e1, _ = engine.forces(cfg)
-    assert engine._psi is not None  # orbital cache primed
-    swapped = h4_chain()
-    swapped.cell = np.array([12.0, 6.0, 6.0])
-    swapped.positions += 0.5
-    _, e2, _ = engine.forces(swapped)
-    assert np.isfinite(e1) and np.isfinite(e2)
+    for _ in range(2):
+        engine.forces(cfg)
+        assert engine._rho_hist == []
+        assert not engine._has_orbitals()
+    label = engine.label
+    assert ins.metrics.get("qmd.solves", engine=label, start="cold").value == 2
+    assert ins.metrics.get("qmd.solves", engine=label, start="orbital") is None
 
 
 def test_run_scf_psi0_warm_start_cuts_iterations():
